@@ -7,8 +7,8 @@
 //	fwdiff [-schema five|four|paper] [-format name] [-v] [-json]
 //	       [-trace trace.json] a.fw b.fw
 //
-// -trace writes the run's span tree (construct/shape/compare with FDD
-// node counts and discrepancy stats) to the named file; load it with
+// -trace writes the run's span tree (construct/compare with FDD node
+// counts and discrepancy stats) to the named file; load it with
 // docs/OBSERVABILITY.md's reading guide or feed the spans to jq.
 //
 // Exit status is 0 when the policies are equivalent, 1 when they differ,
@@ -39,7 +39,7 @@ func run() int {
 	schemaName := fs.String("schema", "five", "packet schema: "+cli.SchemaNames())
 	format := fs.String("format", "text", "input format: "+cli.FormatNames())
 	chain := fs.String("chain", "INPUT", "chain to read for iptables/nftables inputs")
-	verbose := fs.Bool("v", false, "print per-phase timing and path statistics")
+	verbose := fs.Bool("v", false, "print per-phase timing and walk statistics")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON (the /v1/diff wire format)")
 	traceFile := fs.String("trace", "", "write the run's span tree to this file as JSON")
 	fs.Usage = func() {
@@ -110,9 +110,9 @@ func run() int {
 		return 2
 	}
 	if *verbose {
-		fmt.Printf("\npaths compared: %d (differing before merge: %d)\n", report.PathsCompared, report.RawPaths)
-		fmt.Printf("construction %v, shaping %v, comparison %v (total %v)\n",
-			report.Timing.Construct, report.Timing.Shape, report.Timing.Compare, report.Timing.Total())
+		fmt.Printf("\nnode pairs compared: %d (differing rows before merge: %d)\n", report.PathsCompared, report.RawPaths)
+		fmt.Printf("construction %v, comparison %v (total %v)\n",
+			report.Timing.Construct, report.Timing.Compare, report.Timing.Total())
 	}
 	if report.Equivalent() {
 		return 0

@@ -94,8 +94,8 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestRunTraceFile checks -trace writes a span tree holding the whole
-// pipeline: the engine's diff span with construct, shape, and compare
-// children carrying FDD stats.
+// pipeline: construct and compare spans carrying FDD and walk stats,
+// and no shape span (the engine's diff walk does not shape).
 func TestRunTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	a := writeFile(t, dir, "a.fw", teamA)
@@ -116,14 +116,21 @@ func TestRunTraceFile(t *testing.T) {
 		t.Fatalf("unexpected trace doc: %+v", doc)
 	}
 	root := doc.Traces[0].Root
-	for _, name := range []string{"construct", "shape", "compare"} {
+	for _, name := range []string{"construct", "compare"} {
 		if _, ok := root.Find(name); !ok {
 			t.Fatalf("trace missing %q span:\n%s", name, raw)
 		}
 	}
+	if _, ok := root.Find("shape"); ok {
+		t.Fatalf("served diff trace has a shape span:\n%s", raw)
+	}
 	cons, _ := root.Find("construct")
 	if _, ok := cons.Attrs["nodes"]; !ok {
 		t.Fatalf("construct span missing nodes attr: %v", cons.Attrs)
+	}
+	cmp, _ := root.Find("compare")
+	if _, ok := cmp.Attrs["nodePairs"]; !ok {
+		t.Fatalf("compare span missing nodePairs attr: %v", cmp.Attrs)
 	}
 }
 

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"strings"
 
 	"diversefw/internal/cli"
+	"diversefw/internal/engine"
 	"diversefw/internal/resolve"
 	"diversefw/internal/rule"
 	"diversefw/internal/textio"
@@ -64,11 +66,14 @@ func run() int {
 		return 2
 	}
 
-	plan, err := resolve.NewPlan(pa, pb)
+	// The plan comes from the engine's report, as /v1/resolve builds it,
+	// so the CLI and the server number discrepancy rows identically.
+	report, _, err := engine.New(engine.Config{}).DiffPolicies(context.Background(), pa, pb)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fwresolve:", err)
 		return 2
 	}
+	plan := resolve.NewPlanFromReport(pa, pb, report)
 
 	if *decide == "" {
 		// Listing mode: print the discrepancy table for the teams to

@@ -44,10 +44,12 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // flakyFault fires inner on roughly one call in n (deterministic
-// counter, safe for concurrent Fire).
+// counter, safe for concurrent Fire). fired counts the calls that ran
+// inner, so a storm can prove its fault actually landed.
 type flakyFault struct {
 	mu    sync.Mutex
 	calls int
+	fired int
 	n     int
 	inner chaos.Fault
 }
@@ -56,6 +58,9 @@ func (f *flakyFault) fire(ctx context.Context) error {
 	f.mu.Lock()
 	f.calls++
 	hit := f.calls%f.n == 0
+	if hit {
+		f.fired++
+	}
 	f.mu.Unlock()
 	if !hit {
 		return nil
@@ -63,9 +68,15 @@ func (f *flakyFault) fire(ctx context.Context) error {
 	return f.inner(ctx)
 }
 
+func (f *flakyFault) firedCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fired
+}
+
 // TestChaosStress drives hundreds of concurrent requests through a real
 // TCP server while faults fire randomly underneath: injected latency in
-// compile, forced budget exhaustion mid-shape, cache-insert failures,
+// compile, forced budget exhaustion mid-diff, cache-insert failures,
 // and client-side cancellation — all under admission pressure. It then
 // asserts the system degraded instead of corrupting:
 //
@@ -99,10 +110,13 @@ func TestChaosStress(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Fault cocktail: each fires on a fraction of pipeline passes.
+	// Fault cocktail: each fires on a fraction of pipeline passes. The
+	// budget fault sits at engine.diff, inside the budgeted flight just
+	// before the walk, so it trips the walk at its next budget poll.
+	exhaust := &flakyFault{n: 3, inner: chaos.ExhaustBudget(guard.KindNodes)}
 	removes := []func(){
 		chaos.Register(chaos.PointCompile, (&flakyFault{n: 7, inner: chaos.Latency(2 * time.Millisecond)}).fire),
-		chaos.Register(chaos.PointShape, (&flakyFault{n: 11, inner: chaos.ExhaustBudget(guard.KindNodes)}).fire),
+		chaos.Register(chaos.PointDiff, exhaust.fire),
 		chaos.Register(chaos.PointCacheInsertCompile, (&flakyFault{n: 5, inner: chaos.FailWith(fmt.Errorf("injected: compile cache down"))}).fire),
 		chaos.Register(chaos.PointCacheInsertReport, (&flakyFault{n: 3, inner: chaos.FailWith(fmt.Errorf("injected: report cache down"))}).fire),
 	}
@@ -196,6 +210,9 @@ func TestChaosStress(t *testing.T) {
 	}
 	if bad > 10 {
 		t.Errorf("... and %d more problems", bad-10)
+	}
+	if exhaust.firedCount() == 0 {
+		t.Error("the mid-diff budget fault never fired during the storm")
 	}
 
 	// Lift the faults; the very next request must be correct — a

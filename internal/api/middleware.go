@@ -30,7 +30,7 @@ type Option func(*Server)
 // per-endpoint request counts by status code, latency histograms (with
 // per-bucket trace-ID exemplars on the OpenMetrics exposition), an
 // in-flight gauge, a recovered-panic counter, per-phase pipeline
-// timing histograms (construct/shape/compare, fed from compare.Timing),
+// timing histograms (construct/compare, fed from compare.Timing),
 // and the fwproc_* runtime collectors (goroutines, heap bytes, GC
 // pause total, sampled lazily at scrape) — and mounts the registry's
 // text exposition at GET /metrics.
@@ -60,7 +60,7 @@ func WithLogger(l *slog.Logger) Option {
 
 // WithRequestTimeout bounds every request's handler work: the request
 // context is given the deadline, so the comparison pipeline aborts
-// mid-walk (compare.DiffContext) and the client gets 503 instead of
+// mid-walk (engine.DiffPolicies) and the client gets 503 instead of
 // holding a connection forever. Zero or negative disables the bound.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.timeout = d }
@@ -153,13 +153,13 @@ func (s *Server) observeSpans(root trace.SpanRecord) {
 	})
 }
 
-// observeTiming records one pipeline run's per-phase durations.
+// observeTiming records one pipeline run's per-phase durations. Served
+// diffs never shape, so there is no shape phase to record.
 func (s *Server) observeTiming(t compare.Timing) {
 	if s.inst == nil {
 		return
 	}
 	s.inst.phases.With("construct").Observe(t.Construct.Seconds())
-	s.inst.phases.With("shape").Observe(t.Shape.Seconds())
 	s.inst.phases.With("compare").Observe(t.Compare.Seconds())
 }
 

@@ -140,12 +140,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fwserved_http_inflight_requests`,
 		`fwserved_http_panics_total 0`,
 		`fwserved_pipeline_phase_seconds_bucket{phase="construct",le="+Inf"}`,
-		`fwserved_pipeline_phase_seconds_bucket{phase="shape",le="+Inf"}`,
 		`fwserved_pipeline_phase_seconds_bucket{phase="compare",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
 		}
+	}
+	// Served diffs never shape, so no shape phase series is recorded.
+	if strings.Contains(out, `phase="shape"`) {
+		t.Fatalf("metrics output has a shape phase series:\n%s", out)
 	}
 	// diff ran the pipeline; impact asked for the same (teamA, teamB)
 	// pair and was served from the engine's report cache (no second

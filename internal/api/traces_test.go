@@ -24,9 +24,10 @@ func getTraces(t *testing.T, srv http.Handler, query string) *httptest.ResponseR
 }
 
 // TestTraceCapturesPipeline pins the acceptance criterion: a /v1/diff
-// request produces a retained trace whose tree contains construct,
-// shape, and compare spans carrying the deep FDD stats, and the response
-// itself carries X-Trace-ID and a Server-Timing breakdown.
+// request produces a retained trace whose tree contains construct and
+// compare spans carrying the deep FDD and walk stats (and no shape span:
+// served diffs do not shape), and the response itself carries X-Trace-ID
+// and a Server-Timing breakdown.
 func TestTraceCapturesPipeline(t *testing.T) {
 	t.Parallel()
 	srv := NewServer()
@@ -40,8 +41,9 @@ func TestTraceCapturesPipeline(t *testing.T) {
 		t.Fatal("diff response missing X-Trace-ID")
 	}
 	st := rec.Header().Get("Server-Timing")
-	if !strings.Contains(st, "construct;dur=") || !strings.Contains(st, "total;dur=") {
-		t.Fatalf("Server-Timing = %q, want construct and total entries", st)
+	if !strings.Contains(st, "construct;dur=") || !strings.Contains(st, "compare;dur=") ||
+		!strings.Contains(st, "total;dur=") || strings.Contains(st, "shape;") {
+		t.Fatalf("Server-Timing = %q, want construct, compare and total entries and no shape", st)
 	}
 
 	var snap trace.Snapshot
@@ -76,18 +78,17 @@ func TestTraceCapturesPipeline(t *testing.T) {
 			t.Fatalf("construct span missing %q attr: %v", attr, cons.Attrs)
 		}
 	}
-	sh, ok := found.Root.Find("shape")
-	if !ok {
-		t.Fatal("shape span missing from diff trace")
-	}
-	for _, attr := range []string{"edgeSplits", "subgraphCopies", "nodeInsertions"} {
-		if _, ok := sh.Attrs[attr]; !ok {
-			t.Fatalf("shape span missing %q attr: %v", attr, sh.Attrs)
-		}
+	if _, ok := found.Root.Find("shape"); ok {
+		t.Fatal("served diff trace has a shape span")
 	}
 	cmp, ok := found.Root.Find("compare")
 	if !ok {
 		t.Fatal("compare span missing from diff trace")
+	}
+	for _, attr := range []string{"nodePairs", "memoHits", "sharedHits"} {
+		if _, ok := cmp.Attrs[attr]; !ok {
+			t.Fatalf("compare span missing %q attr: %v", attr, cmp.Attrs)
+		}
 	}
 	// teamA vs teamB is the paper's example: 3 discrepancy rows.
 	if got := cmp.Attrs["discrepancies"]; got != float64(3) {
@@ -162,10 +163,13 @@ func TestTracesChromeFormat(t *testing.T) {
 		}
 		names[ev["name"].(string)] = true
 	}
-	for _, want := range []string{"/v1/diff", "construct", "shape", "compare"} {
+	for _, want := range []string{"/v1/diff", "construct", "compare"} {
 		if !names[want] {
 			t.Fatalf("chrome export missing %q event; have %v", want, names)
 		}
+	}
+	if names["shape"] {
+		t.Fatalf("chrome export of a served diff has a shape event; have %v", names)
 	}
 
 	// Unknown formats are a 400 with the v1 envelope.

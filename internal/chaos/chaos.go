@@ -35,8 +35,9 @@ const (
 	// FDD construction. An error aborts the compilation (and is never
 	// cached, like any failed flight).
 	PointCompile Point = "engine.compile"
-	// PointDiff fires inside a diff flight, before shaping/comparison.
-	// An error aborts the diff.
+	// PointDiff fires inside a budgeted diff flight, just before the
+	// diff walk. An error aborts the diff; a fault that exhausts the
+	// budget trips the walk at its next budget poll.
 	PointDiff Point = "engine.diff"
 	// PointCacheInsertCompile fires before inserting a freshly compiled
 	// policy into the compile cache. An error skips the insert; the
@@ -46,9 +47,8 @@ const (
 	// cache.
 	PointCacheInsertReport Point = "engine.cache_insert.report"
 	// PointShape fires at the top of a shaping walk (after
-	// simplification, before alignment) — the spot to inject latency or
-	// budget exhaustion "mid-pipeline", between the two halves of a
-	// diff. An error aborts the shaping.
+	// simplification, before alignment). Served diffs never shape; only
+	// resolve Method 1 reaches it. An error aborts the shaping.
 	PointShape Point = "shape.walk"
 	// PointJobPair fires at the top of one async-job pair comparison,
 	// on the worker goroutine with the job's context. An error fails

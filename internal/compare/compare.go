@@ -9,6 +9,14 @@
 // decision path of a semi-isomorphic pair corresponds to its companion
 // path, collecting the paths whose terminal decisions differ finds every
 // discrepancy — no sampling, no false negatives.
+//
+// The package has two diff walks over constructed FDDs. The
+// shape-then-lockstep pipeline (Diff, DiffFDDs, CompareSemiIsomorphic)
+// is the paper's algorithm: the reproduction experiments and the tests'
+// oracle run it. The memoized product walk (DiffFDDsDirect) needs no
+// shaping, and its merged rows match lockstep's row for row on the
+// corpus TestDirectDiffMatchesLockstep checks; it is the only diff the
+// serving path (internal/engine) runs.
 package compare
 
 import (
@@ -43,10 +51,14 @@ type Report struct {
 	// human-readable rows (regions identical in all but one field are
 	// coalesced). Empty means the firewalls are equivalent.
 	Discrepancies []Discrepancy
-	// RawPaths is the number of differing decision-path pairs before
-	// merging — the comparison algorithm's direct output size.
+	// RawPaths is the number of differing rows before merging — the
+	// comparison walk's direct output size. For the lockstep walk these
+	// are the differing decision-path pairs; for the direct walk
+	// (DiffFDDsDirect), the differing paths of its difference diagram.
 	RawPaths int
-	// PathsCompared is the total number of decision-path pairs walked.
+	// PathsCompared is the comparison walk's work: the decision-path
+	// pairs the lockstep walk visited, or the node pairs the direct walk
+	// computed (memo misses).
 	PathsCompared int
 	// Timing breaks the pipeline into the paper's three phases.
 	Timing Timing

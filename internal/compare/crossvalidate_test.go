@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"diversefw/internal/bdd"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/rule"
 )
 
-// TestCrossValidateAgainstBDD checks the FDD pipeline against the
-// completely independent BDD implementation (different data structure,
-// different algorithms): on random policy pairs over a small schema, the
-// set of disagreement packets computed by both must be identical, checked
+// TestCrossValidateAgainstBDD checks both FDD diff walks — the lockstep
+// pipeline and the direct product walk — against the completely
+// independent BDD implementation (different data structure, different
+// algorithms): on random policy pairs over a small schema, the set of
+// disagreement packets computed by each must be identical, checked
 // exhaustively.
 func TestCrossValidateAgainstBDD(t *testing.T) {
 	t.Parallel()
@@ -46,7 +48,19 @@ func TestCrossValidateAgainstBDD(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		pa, pb := randPolicy(), randPolicy()
 
-		report, err := Diff(pa, pb)
+		lock, err := Diff(pa, pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa, err := fdd.Construct(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := fdd.Construct(pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := DiffFDDsDirect(fa, fb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,56 +68,61 @@ func TestCrossValidateAgainstBDD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Exhaustive agreement over the whole (small) packet space, plus
-		// an exact disagreement count comparison.
-		count := 0
-		for x := uint64(0); x <= 31; x++ {
-			for y := uint64(0); y <= 15; y++ {
-				pkt := rule.Packet{x, y}
-				inFDD := false
-				for _, d := range report.Discrepancies {
-					if d.Pred.Matches(pkt) {
-						inFDD = true
-						break
+		for _, w := range []struct {
+			walk   string
+			report *Report
+		}{{"lockstep", lock}, {"direct", direct}} {
+			walk, report := w.walk, w.report
+			// Exhaustive agreement over the whole (small) packet space, plus
+			// an exact disagreement count comparison.
+			count := 0
+			for x := uint64(0); x <= 31; x++ {
+				for y := uint64(0); y <= 15; y++ {
+					pkt := rule.Packet{x, y}
+					inFDD := false
+					for _, d := range report.Discrepancies {
+						if d.Pred.Matches(pkt) {
+							inFDD = true
+							break
+						}
+					}
+					assign := make([]bool, enc.M.NumVars())
+					bits := enc.FieldBits(0)
+					for i, v := range bits {
+						assign[v] = x>>uint(len(bits)-1-i)&1 == 1
+					}
+					bits = enc.FieldBits(1)
+					for i, v := range bits {
+						assign[v] = y>>uint(len(bits)-1-i)&1 == 1
+					}
+					inBDD := enc.M.Eval(res.Diff, assign)
+					if inFDD != inBDD {
+						t.Fatalf("trial %d: packet %v: FDD %s walk says %v, BDD says %v", trial, pkt, walk, inFDD, inBDD)
+					}
+					if inFDD {
+						count++
 					}
 				}
-				assign := make([]bool, enc.M.NumVars())
-				bits := enc.FieldBits(0)
-				for i, v := range bits {
-					assign[v] = x>>uint(len(bits)-1-i)&1 == 1
-				}
-				bits = enc.FieldBits(1)
-				for i, v := range bits {
-					assign[v] = y>>uint(len(bits)-1-i)&1 == 1
-				}
-				inBDD := enc.M.Eval(res.Diff, assign)
-				if inFDD != inBDD {
-					t.Fatalf("trial %d: packet %v: FDD says %v, BDD says %v", trial, pkt, inFDD, inBDD)
-				}
-				if inFDD {
-					count++
-				}
 			}
-		}
 
-		// The discrepancy rows are disjoint, so their sizes add up to the
-		// exact disagreement count; the BDD's SatFraction gives the same
-		// number independently.
-		var rowSum uint64
-		for _, d := range report.Discrepancies {
-			size := uint64(1)
-			for _, s := range d.Pred {
-				size *= s.Count()
+			// The discrepancy rows are disjoint, so their sizes add up to the
+			// exact disagreement count; the BDD's SatFraction gives the same
+			// number independently.
+			var rowSum uint64
+			for _, d := range report.Discrepancies {
+				size := uint64(1)
+				for _, s := range d.Pred {
+					size *= s.Count()
+				}
+				rowSum += size
 			}
-			rowSum += size
-		}
-		if rowSum != uint64(count) {
-			t.Fatalf("trial %d: row sizes add to %d, exhaustive count %d", trial, rowSum, count)
-		}
-		bddCount := res.Fraction * float64(32*16)
-		if int(bddCount+0.5) != count {
-			t.Fatalf("trial %d: BDD fraction gives %v packets, exhaustive count %d", trial, bddCount, count)
+			if rowSum != uint64(count) {
+				t.Fatalf("trial %d: %s walk's row sizes add to %d, exhaustive count %d", trial, walk, rowSum, count)
+			}
+			bddCount := res.Fraction * float64(32*16)
+			if int(bddCount+0.5) != count {
+				t.Fatalf("trial %d: BDD fraction gives %v packets, exhaustive count %d", trial, bddCount, count)
+			}
 		}
 	}
 }

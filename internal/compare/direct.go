@@ -34,11 +34,14 @@ func DiffFDDsDirect(fa, fb *fdd.FDD) (*Report, error) {
 //   - the memo is keyed by node pair, so repeated shared substructure is
 //     compared once.
 //
-// The trade-off against the lockstep pipeline: PathsCompared/RawPaths
-// count the product-walk's terminal visits, not decision-path pairs, and
-// discrepancy rows may be partitioned differently (the merged rows
-// describe the same packet set; see MergeDiscrepancies). Timing fills
-// only the Compare phase.
+// It is the diff every served comparison runs (see internal/engine);
+// the lockstep pipeline stays as the paper's reproduction and the test
+// oracle. Its report counts its own work: PathsCompared is the node
+// pairs the walk computed (memo misses), not decision-path pairs, and
+// RawPaths is the differing rows of the difference diagram before
+// merging. Timing fills only the Compare phase. The walk's "compare"
+// span carries nodePairs, memoHits, sharedHits, rawPaths and
+// discrepancies.
 func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
 	if !fa.Schema.Equal(fb.Schema) {
 		return nil, fmt.Errorf("compare: schemas differ")
@@ -49,7 +52,7 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 	if err := checkFDDDecisionRange(fb); err != nil {
 		return nil, err
 	}
-	_, sp := trace.Start(ctx, "compare.direct")
+	_, sp := trace.Start(ctx, "compare")
 	defer sp.End()
 	start := time.Now()
 	w := &directWalker{
@@ -70,7 +73,7 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 		return nil, fmt.Errorf("compare: aborted: %w", w.err)
 	}
 	diff := &fdd.FDD{Schema: fa.Schema, Root: root}
-	report := &Report{PathsCompared: w.paths, RawPaths: w.raw}
+	report := &Report{PathsCompared: w.pairs}
 	for _, r := range diff.Rules() {
 		da, db := r.Decision>>pairShift, r.Decision&(1<<pairShift-1)
 		if da == db {
@@ -78,12 +81,14 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 		}
 		report.Discrepancies = append(report.Discrepancies, Discrepancy{Pred: r.Pred, A: da, B: db})
 	}
+	report.RawPaths = len(report.Discrepancies)
 	report.Discrepancies = MergeDiscrepancies(fa.Schema.NumFields(), report.Discrepancies)
 	report.Timing = Timing{Compare: time.Since(start)}
 	if sp != nil {
-		sp.SetAttr("pathsCompared", report.PathsCompared)
-		sp.SetAttr("rawPaths", report.RawPaths)
+		sp.SetAttr("nodePairs", w.pairs)
+		sp.SetAttr("memoHits", w.memoHits)
 		sp.SetAttr("sharedHits", w.shared)
+		sp.SetAttr("rawPaths", report.RawPaths)
 		sp.SetAttr("discrepancies", len(report.Discrepancies))
 	}
 	return report, nil
@@ -91,12 +96,12 @@ func DiffFDDsDirectContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error
 
 // directWalker carries one product walk's memo, node store, and counters.
 type directWalker struct {
-	in     *fdd.Interner
-	fulls  []interval.Set
-	memo   map[[2]*fdd.Node]*fdd.Node
-	paths  int // node pairs whose terminals were compared
-	raw    int // pairs with differing decisions
-	shared int // pointer-identity short-circuits
+	in       *fdd.Interner
+	fulls    []interval.Set
+	memo     map[[2]*fdd.Node]*fdd.Node
+	pairs    int // node pairs computed (memo misses)
+	memoHits int // node pairs served from the memo
+	shared   int // pointer-identity short-circuits
 
 	ctx     context.Context
 	budget  int // countdown to the next ctx poll / budget flush
@@ -152,16 +157,16 @@ func (w *directWalker) walk(a, b *fdd.Node) *fdd.Node {
 	}
 	key := [2]*fdd.Node{a, b}
 	if c, ok := w.memo[key]; ok {
+		w.memoHits++
 		return c
 	}
+	w.pairs++
 	w.pending++
 	var out *fdd.Node
 	if a.IsTerminal() && b.IsTerminal() {
-		w.paths++
 		if a.Decision == b.Decision {
 			out = w.in.CanonicalTerminal(agreeTerminal)
 		} else {
-			w.raw++
 			out = w.in.CanonicalTerminal(a.Decision<<pairShift | b.Decision)
 		}
 	} else {

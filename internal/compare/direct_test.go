@@ -2,67 +2,66 @@ package compare
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/guard"
+	"diversefw/internal/paper"
 	"diversefw/internal/rule"
 	"diversefw/internal/synth"
 )
 
-// encodeReport renders a report's discrepancy rows as a policy whose
-// decision encodes the (A, B) pair, with an agreeing catch-all. Rows are
-// disjoint regions, so first-match order is irrelevant and two reports
-// describe the same discrepancy function iff their encodings are
-// equivalent policies — this is how we compare the direct walk against
-// the lockstep pipeline without assuming identical row partitioning.
-func encodeReport(t *testing.T, schema *rule.Policy, r *Report) *rule.Policy {
-	t.Helper()
-	rules := make([]rule.Rule, 0, len(r.Discrepancies)+1)
-	for _, d := range r.Discrepancies {
-		if d.A >= 1<<5 || d.B >= 1<<5 {
-			t.Fatalf("decision too large to encode: %v/%v", d.A, d.B)
-		}
-		rules = append(rules, rule.Rule{
-			Pred:     d.Pred.Clone(),
-			Decision: d.A<<5 | d.B,
+// directCorpus is the pair corpus the direct walk is held to lockstep
+// on: the paper's Team A/B example (Table 3), synth.Synthetic pairs, and
+// RealLife references against InjectErrors redesigns (Section 8.1),
+// each family at 40 sizes from 20 to 449 rules.
+func directCorpus() [][2]*rule.Policy {
+	pairs := [][2]*rule.Policy{{paper.TeamA(), paper.TeamB()}}
+	for k := 0; k < 40; k++ {
+		n := 20 + 11*k
+		pairs = append(pairs, [2]*rule.Policy{
+			synth.Synthetic(synth.Config{Rules: n, Seed: int64(2*k + 1)}),
+			synth.Synthetic(synth.Config{Rules: n, Seed: int64(2*k + 2)}),
 		})
+		ref := synth.RealLife(n, int64(100+k))
+		faulty, _ := synth.InjectErrors(ref, synth.ErrorConfig{
+			OrderingErrors: 1 + k%5, MissingRules: 1 + k%3, Seed: int64(k + 7)})
+		pairs = append(pairs, [2]*rule.Policy{ref, faulty})
 	}
-	rules = append(rules, rule.CatchAll(schema.Schema, 1<<12))
-	return rule.MustPolicy(schema.Schema, rules)
+	return pairs
 }
 
+// TestDirectDiffMatchesLockstep holds the direct walk to the lockstep
+// pipeline row for row: the same merged discrepancy rows in the same
+// order, so serving the direct walk keeps every row number the paper's
+// algorithm would hand out.
 func TestDirectDiffMatchesLockstep(t *testing.T) {
-	for trial := 0; trial < 12; trial++ {
-		pa := synth.Synthetic(synth.Config{Rules: 40, Seed: int64(trial*2 + 1)})
-		pb := synth.Synthetic(synth.Config{Rules: 40, Seed: int64(trial*2 + 2)})
-		fa, err := fdd.Construct(pa)
+	t.Parallel()
+	for i, pair := range directCorpus() {
+		fa, err := fdd.Construct(pair[0])
 		if err != nil {
-			t.Fatalf("trial %d: construct a: %v", trial, err)
+			t.Fatalf("pair %d: construct a: %v", i, err)
 		}
-		fb, err := fdd.Construct(pb)
+		fb, err := fdd.Construct(pair[1])
 		if err != nil {
-			t.Fatalf("trial %d: construct b: %v", trial, err)
+			t.Fatalf("pair %d: construct b: %v", i, err)
 		}
 		lock, err := DiffFDDs(fa, fb)
 		if err != nil {
-			t.Fatalf("trial %d: lockstep: %v", trial, err)
+			t.Fatalf("pair %d: lockstep: %v", i, err)
 		}
 		direct, err := DiffFDDsDirect(fa, fb)
 		if err != nil {
-			t.Fatalf("trial %d: direct: %v", trial, err)
+			t.Fatalf("pair %d: direct: %v", i, err)
 		}
-		if lock.Equivalent() != direct.Equivalent() {
-			t.Fatalf("trial %d: equivalence disagrees (lockstep %v, direct %v)",
-				trial, lock.Equivalent(), direct.Equivalent())
+		if !reflect.DeepEqual(lock.Discrepancies, direct.Discrepancies) {
+			t.Fatalf("pair %d (%d vs %d rules): direct rows differ from lockstep's (%d vs %d rows)",
+				i, pair[0].Size(), pair[1].Size(), len(direct.Discrepancies), len(lock.Discrepancies))
 		}
-		eq, err := Equivalent(encodeReport(t, pa, lock), encodeReport(t, pa, direct))
-		if err != nil {
-			t.Fatalf("trial %d: comparing encodings: %v", trial, err)
-		}
-		if !eq {
-			t.Fatalf("trial %d: direct and lockstep reports describe different discrepancy sets", trial)
+		if direct.RawPaths < len(direct.Discrepancies) {
+			t.Fatalf("pair %d: RawPaths %d < merged rows %d", i, direct.RawPaths, len(direct.Discrepancies))
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package engine is the caching service layer between the HTTP API / CLI
 // front ends and the analysis pipeline. The dominant real workload for
 // diverse design is one stable policy set diffed against many candidates,
-// over and over; the pipeline packages (fdd, shape, compare) recompute
+// over and over; the pipeline packages (fdd, compare) recompute
 // everything per call. The engine content-addresses the expensive
 // intermediate results so repeated work is served from memory:
 //
@@ -10,9 +10,11 @@
 //     regardless of whitespace, comments, or value spelling — share one
 //     construction.
 //   - Diff caches (hash(A), hash(B)) -> the full comparison report, so a
-//     repeated diff of the same pair costs two hash lookups. Reusing the
-//     report also makes discrepancy row numbering stable across /v1/diff
-//     and /v1/resolve for the same pair.
+//     repeated diff of the same pair costs two hash lookups. Every diff
+//     the engine runs is compare.DiffFDDsDirect's memoized product walk,
+//     and a pair has exactly one report entry, so discrepancy row
+//     numbering is the same across /v1/diff, /v1/impact, /v1/resolve,
+//     /v1/crosscompare and /v1/jobs for the same pair.
 //
 // Concurrent identical requests are deduplicated with a singleflight
 // group: a thundering herd of N requests for the same policy compiles it
@@ -75,8 +77,8 @@ const (
 
 // Compiled is one content-addressed compilation: a parsed policy and its
 // constructed, reduced FDD. Instances are shared across requests and must
-// be treated as immutable; the pipeline already does (shaping deep-copies
-// its inputs, comparison only reads).
+// be treated as immutable; the pipeline already does (the diff walk only
+// reads its inputs).
 type Compiled struct {
 	Policy *rule.Policy
 	FDD    *fdd.FDD
@@ -250,8 +252,7 @@ func (e *Engine) DiffPolicies(ctx context.Context, pa, pb *rule.Policy) (*compar
 	}
 	var stats DiffStats
 	start := time.Now()
-	// The two compilations are independent; overlap them like
-	// compare.DiffContext overlaps its constructions.
+	// The two compilations are independent; overlap them.
 	var cb *Compiled
 	var hitB bool
 	var errB error
@@ -310,7 +311,7 @@ func (e *Engine) diff(ctx context.Context, a, b *Compiled, construct time.Durati
 		if err := chaos.Fire(fctx, chaos.PointDiff); err != nil {
 			return nil, err
 		}
-		r, err := compare.DiffFDDsContext(fctx, a.FDD, b.FDD)
+		r, err := compare.DiffFDDsDirectContext(fctx, a.FDD, b.FDD)
 		if err != nil {
 			return nil, err
 		}
@@ -371,9 +372,9 @@ var errNoBuilder = errors.New("engine: base compilation has no builder")
 //   - the after-FDD is built incrementally by resuming the before
 //     policy's builder from the deepest checkpoint the edits left
 //     untouched, re-appending only the suffix;
-//   - the diff runs the memoized product walk (compare.DiffFDDsDirect),
-//     which short-circuits in O(1) on the subgraphs the incremental
-//     build shares with the base FDD;
+//   - the diff (the same walk and report cache as DiffPolicies)
+//     short-circuits in O(1) on the subgraphs the incremental build
+//     shares with the base FDD;
 //   - a derived-from edge (baseHash, editScriptHash) -> afterHash skips
 //     re-hashing the edited policy on repeat edits.
 //
@@ -418,7 +419,7 @@ func (e *Engine) ImpactEdits(ctx context.Context, before *rule.Policy, edits []i
 	if !derivedHit {
 		e.derived.add(editKey, afterHash, int64(len(editKey)+len(afterHash)))
 	}
-	r, cached, err := e.diffDirect(ctx, cb, ca, time.Since(start))
+	r, cached, err := e.diff(ctx, cb, ca, time.Since(start))
 	stats.ReportCached = cached
 	if err != nil {
 		return nil, nil, stats, err
@@ -516,65 +517,6 @@ func (e *Engine) compileIncremental(ctx context.Context, base *Compiled, after *
 	}
 	sp.SetAttr("incremental", res.incremental)
 	return res.c, false, res, nil
-}
-
-// diffDirect returns the comparison report for a base compilation and one
-// derived from it. It prefers the pair's cached lockstep report (whose
-// row partitioning /v1/diff and /v1/resolve promise to keep stable) and
-// otherwise runs the memoized product walk. Direct reports live under
-// their own "inc|" key namespace: the two walks may partition the same
-// discrepancy set into different rows, so a direct report must never be
-// served where lockstep row numbering was already handed out — and vice
-// versa.
-func (e *Engine) diffDirect(ctx context.Context, a, b *Compiled, construct time.Duration) (*compare.Report, bool, error) {
-	pairKey := a.Hash + "|" + b.Hash
-	if r, ok := e.reports.get(pairKey); ok {
-		e.observeGet(cacheReport, true)
-		trace.Event(ctx, "cache-lookup",
-			trace.A("cache", "report"), trace.A("hit", true))
-		return r, true, nil
-	}
-	key := "inc|" + pairKey
-	if r, ok := e.reports.get(key); ok {
-		e.observeGet(cacheReport, true)
-		trace.Event(ctx, "cache-lookup",
-			trace.A("cache", "report"), trace.A("hit", true))
-		return r, true, nil
-	}
-	e.observeGet(cacheReport, false)
-	trace.Event(ctx, "cache-lookup",
-		trace.A("cache", "report"), trace.A("hit", false))
-	ctx, sp := trace.Start(ctx, "diff.direct")
-	defer sp.End()
-	waitStart := time.Now()
-	r, shared, err := e.reportFlights.do(ctx, key, func(fctx context.Context) (*compare.Report, error) {
-		if r, ok := e.reports.get(key); ok {
-			return r, nil
-		}
-		fctx = e.budgeted(fctx)
-		if err := chaos.Fire(fctx, chaos.PointDiff); err != nil {
-			return nil, err
-		}
-		r, err := compare.DiffFDDsDirectContext(fctx, a.FDD, b.FDD)
-		if err != nil {
-			return nil, err
-		}
-		r.Timing.Construct = construct
-		if chaos.Fire(fctx, chaos.PointCacheInsertReport) == nil {
-			e.addReport(key, r)
-		}
-		return r, nil
-	})
-	e.observeBudget(sp, err)
-	if shared {
-		e.coalesced.Add(1)
-		if e.inst != nil {
-			e.inst.coalesced.With(cacheReport).Inc()
-		}
-		sp.AddCompleted("singleflight-wait", waitStart, time.Since(waitStart))
-		sp.SetAttr("coalesced", true)
-	}
-	return r, false, err
 }
 
 // editScriptHash content-addresses an edit script by its canonical

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/impact"
 	"diversefw/internal/metrics"
@@ -53,14 +55,21 @@ func TestImpactEditsIncremental(t *testing.T) {
 		t.Fatalf("incremental counters: %+v", s.Incremental)
 	}
 
-	// The same report as the full pipeline, semantically: every packet the
-	// direct walk flagged is flagged by the lockstep diff and vice versa.
+	// The same rows as the lockstep oracle, and the same cached report
+	// DiffPolicies serves for the pair.
+	lock, err := compare.Diff(before, after)
+	if err != nil {
+		t.Fatalf("lockstep diff: %v", err)
+	}
+	if !reflect.DeepEqual(lock.Discrepancies, r.Discrepancies) {
+		t.Fatalf("edits-path rows differ from the lockstep oracle's")
+	}
 	full, _, err := e.DiffPolicies(context.Background(), before, after)
 	if err != nil {
 		t.Fatalf("DiffPolicies: %v", err)
 	}
-	if full.Equivalent() != r.Equivalent() {
-		t.Fatalf("direct and lockstep disagree on equivalence")
+	if full != r {
+		t.Fatalf("DiffPolicies did not serve the edits path's cached report")
 	}
 
 	// Second identical call: everything cached, including the derived
@@ -76,11 +85,8 @@ func TestImpactEditsIncremental(t *testing.T) {
 	if st2.Incremental {
 		t.Fatalf("cache hit must not claim an incremental build")
 	}
-	// The DiffPolicies call above cached a lockstep report for the pair;
-	// the edits path must now prefer it over its own direct-walk report
-	// so row numbering stays consistent with /v1/diff.
-	if r2 != full {
-		t.Fatalf("second call did not prefer the cached lockstep report")
+	if r2 != r {
+		t.Fatalf("second call did not serve the cached report")
 	}
 	if got := e.Stats().Compilations; got != compilations {
 		t.Fatalf("second call compiled again (%d -> %d)", compilations, got)
@@ -144,49 +150,41 @@ func TestImpactEditsAbortNotCachedNotFallenBack(t *testing.T) {
 	}
 }
 
-func TestImpactEditsReportNamespaceIsolation(t *testing.T) {
-	// A lockstep report cached for the pair must be preferred by the
-	// edits path (row numbering stays stable across /v1/diff and
-	// /v1/resolve), and a direct report must never be stored under the
-	// lockstep key.
-	e := New(Config{})
+func TestImpactEditsAndDiffShareOneReport(t *testing.T) {
+	// The edits path and DiffPolicies run the same walk and key the same
+	// report cache, so whichever runs first, the second is a hit on the
+	// very same report: one entry, one row numbering for the pair.
 	before := synth.Synthetic(synth.Config{Rules: 100, Seed: 9})
 	edits := tailEdits(t, before)
 	after, err := impact.Apply(before, edits)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	lock, _, err := e.DiffPolicies(context.Background(), before, after)
-	if err != nil {
-		t.Fatalf("DiffPolicies: %v", err)
+	type call func(e *Engine) (r *compare.Report, cached bool)
+	diff := func(e *Engine) (*compare.Report, bool) {
+		r, st, err := e.DiffPolicies(context.Background(), before, after)
+		if err != nil {
+			t.Fatalf("DiffPolicies: %v", err)
+		}
+		return r, st.ReportCached
 	}
-	_, r, st, err := e.ImpactEdits(context.Background(), before, edits)
-	if err != nil {
-		t.Fatalf("ImpactEdits: %v", err)
+	edit := func(e *Engine) (*compare.Report, bool) {
+		_, r, st, err := e.ImpactEdits(context.Background(), before, edits)
+		if err != nil {
+			t.Fatalf("ImpactEdits: %v", err)
+		}
+		return r, st.ReportCached
 	}
-	if !st.ReportCached {
-		t.Fatalf("edits path ignored the cached lockstep report")
-	}
-	if r != lock {
-		t.Fatalf("edits path returned a different report than the cached lockstep one")
-	}
-
-	// Reverse order: the direct report lands under "inc|..." and the
-	// lockstep path must not see it.
-	e2 := New(Config{})
-	_, rd, _, err := e2.ImpactEdits(context.Background(), before, edits)
-	if err != nil {
-		t.Fatalf("ImpactEdits: %v", err)
-	}
-	lock2, stats2, err := e2.DiffPolicies(context.Background(), before, after)
-	if err != nil {
-		t.Fatalf("DiffPolicies: %v", err)
-	}
-	if stats2.ReportCached {
-		t.Fatalf("lockstep path served a direct-walk report")
-	}
-	if lock2 == rd {
-		t.Fatalf("lockstep and direct share a report instance across namespaces")
+	for i, order := range [][2]call{{diff, edit}, {edit, diff}} {
+		e := New(Config{})
+		first, _ := order[0](e)
+		second, cached := order[1](e)
+		if !cached || second != first {
+			t.Fatalf("order %d: second call did not reuse the first call's report (cached %v)", i, cached)
+		}
+		if n := e.Stats().Reports.Entries; n != 1 {
+			t.Fatalf("order %d: %d report-cache entries for one pair, want 1", i, n)
+		}
 	}
 }
 

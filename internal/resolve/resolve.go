@@ -302,7 +302,8 @@ func (p *Plan) Verify(candidate *rule.Policy) error {
 }
 
 // VerifyContext is Verify with cancellation and tracing (a
-// "resolve-verify" span wrapping the reference-vs-candidate diff).
+// "resolve-verify" span wrapping the reference-vs-candidate diff, which
+// is the same direct walk the engine serves diffs with).
 func (p *Plan) VerifyContext(ctx context.Context, candidate *rule.Policy) error {
 	if !p.Resolved() {
 		return fmt.Errorf("resolve: verify: unresolved discrepancies remain")
@@ -313,7 +314,15 @@ func (p *Plan) VerifyContext(ctx context.Context, candidate *rule.Policy) error 
 	if err != nil {
 		return err
 	}
-	r, err := compare.DiffContext(ctx, ref, candidate)
+	fr, err := fdd.ConstructContext(ctx, ref)
+	if err != nil {
+		return err
+	}
+	fc, err := fdd.ConstructContext(ctx, candidate)
+	if err != nil {
+		return err
+	}
+	r, err := compare.DiffFDDsDirectContext(ctx, fr, fc)
 	if err != nil {
 		return err
 	}
