@@ -2,7 +2,8 @@
 // design team runs before the comparison phase: pairwise anomaly
 // detection (shadowing / generalization / correlation / pairwise
 // redundancy, per reference [1]), exact union-shadowing detection, and
-// complete redundancy detection ([19]).
+// complete redundancy detection ([19]). All three come from one
+// engine.Analyze call, the analysis /v1/analyze and /v1/audit serve.
 //
 // Usage:
 //
@@ -13,13 +14,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"diversefw/internal/anomaly"
 	"diversefw/internal/cli"
-	"diversefw/internal/redundancy"
+	"diversefw/internal/engine"
 	"diversefw/internal/rule"
 )
 
@@ -56,47 +57,31 @@ func run() int {
 		return 2
 	}
 
-	findings := 0
-
-	anomalies := anomaly.Detect(p)
-	if len(anomalies) > 0 {
-		fmt.Printf("pairwise anomalies (%d):\n", len(anomalies))
-		for _, a := range anomalies {
-			fmt.Printf("  %s\n", a)
-			fmt.Printf("    rule %d: %s\n", a.I+1, rule.FormatRule(p.Schema, p.Rules[a.I]))
-			fmt.Printf("    rule %d: %s\n", a.J+1, rule.FormatRule(p.Schema, p.Rules[a.J]))
-		}
-		findings += len(anomalies)
-	}
-
-	shadowed, err := anomaly.CompletelyShadowed(p)
+	a, err := engine.New(engine.Config{}).Analyze(context.Background(), p, *complete)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fwaudit:", err)
 		return 2
 	}
-	if len(shadowed) > 0 {
-		fmt.Printf("rules that are never a first match (%d):\n", len(shadowed))
-		for _, i := range shadowed {
-			fmt.Printf("  rule %d: %s\n", i+1, rule.FormatRule(p.Schema, p.Rules[i]))
+	findings := len(a.Anomalies) + len(a.NeverFirstMatch) + len(a.Redundant)
+	if len(a.Anomalies) > 0 {
+		fmt.Printf("pairwise anomalies (%d):\n", len(a.Anomalies))
+		for _, an := range a.Anomalies {
+			fmt.Printf("  %s\n", an)
+			fmt.Printf("    rule %d: %s\n", an.I+1, rule.FormatRule(p.Schema, p.Rules[an.I]))
+			fmt.Printf("    rule %d: %s\n", an.J+1, rule.FormatRule(p.Schema, p.Rules[an.J]))
 		}
-		findings += len(shadowed)
 	}
-
-	if *complete {
-		compacted, removed, err := redundancy.RemoveAll(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fwaudit:", err)
-			return 2
-		}
-		if len(removed) > 0 {
-			fmt.Printf("semantically redundant rules (%d removable; %d -> %d rules):\n",
-				len(removed), p.Size(), compacted.Size())
-			for _, i := range removed {
+	list := func(rules []int, header string) {
+		if len(rules) > 0 {
+			fmt.Println(header)
+			for _, i := range rules {
 				fmt.Printf("  rule %d: %s\n", i+1, rule.FormatRule(p.Schema, p.Rules[i]))
 			}
-			findings += len(removed)
 		}
 	}
+	list(a.NeverFirstMatch, fmt.Sprintf("rules that are never a first match (%d):", len(a.NeverFirstMatch)))
+	list(a.Redundant, fmt.Sprintf("semantically redundant rules (%d removable; %d -> %d rules):",
+		len(a.Redundant), p.Size(), p.Size()-len(a.Redundant)))
 
 	if findings == 0 {
 		fmt.Println("no findings: no anomalies, no shadowed rules, no redundancy")

@@ -35,6 +35,9 @@ any -> accept
 	if code := withArgs(t, fw); code != 1 {
 		t.Fatalf("exit = %d, want 1 (findings)", code)
 	}
+	if code := withArgs(t, "-complete=false", fw); code != 1 {
+		t.Fatalf("-complete=false: exit = %d, want 1 (findings)", code)
+	}
 }
 
 func TestAuditCleanPolicy(t *testing.T) {

@@ -22,9 +22,9 @@ import (
 	"os"
 
 	"diversefw/internal/cli"
+	"diversefw/internal/engine"
 	"diversefw/internal/fdd"
 	"diversefw/internal/gen"
-	"diversefw/internal/redundancy"
 	"diversefw/internal/rule"
 	"diversefw/internal/trace"
 )
@@ -121,15 +121,15 @@ func run() int {
 	}
 	genSpan.SetAttr("rules", out.Size())
 	if *compact {
-		compacted, removed, err := redundancy.RemoveAll(out)
+		a, err := engine.New(engine.Config{}).Analyze(ctx, out, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fwcompile:", err)
 			return 2
 		}
-		if len(removed) > 0 {
-			fmt.Fprintf(os.Stderr, "fwcompile: removed %d redundant rules\n", len(removed))
+		if len(a.Redundant) > 0 {
+			fmt.Fprintf(os.Stderr, "fwcompile: removed %d redundant rules\n", len(a.Redundant))
 		}
-		out = compacted
+		out = a.Compacted
 	}
 	fmt.Fprintf(os.Stderr, "fwcompile: %d rules in, %d rules out\n", inRules, out.Size())
 	if err := rule.WritePolicy(os.Stdout, out); err != nil {

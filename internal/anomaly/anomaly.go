@@ -157,11 +157,17 @@ func CompletelyShadowed(p *rule.Policy) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NeverFirstMatch(eff), nil
+}
+
+// NeverFirstMatch returns, in rule order, the indices whose effective
+// bit (see fdd.ConstructEffective) is false.
+func NeverFirstMatch(effective []bool) []int {
 	var out []int
-	for i, e := range eff {
+	for i, e := range effective {
 		if !e {
 			out = append(out, i)
 		}
 	}
-	return out, nil
+	return out
 }

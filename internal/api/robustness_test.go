@@ -142,8 +142,8 @@ func TestHealthzWithoutAdmission(t *testing.T) {
 }
 
 // TestWorstCasePolicyReturns422 is the acceptance scenario: a policy in
-// the exponential regime runs into the work budget and comes back as a
-// typed 422 policy_too_complex — while concurrent well-formed requests
+// the exponential regime runs into the work budget on /v1/diff and
+// /v1/analyze and comes back as a typed 422 policy_too_complex — while concurrent well-formed requests
 // on the same server succeed, nothing from the aborted flight lands in
 // the caches, and repeated over-budget requests do not accumulate
 // partial-FDD memory.
@@ -151,11 +151,14 @@ func TestWorstCasePolicyReturns422(t *testing.T) {
 	const budget = 50_000 // Adversarial(16) needs ~1e5 nodes
 	eng := engine.New(engine.Config{Limits: guard.Limits{MaxFDDNodes: budget, MaxEdgeSplits: budget}})
 	srv := NewServer(WithEngine(eng))
-	adversarialBody := `{"schema":"five","a":` + jsonString(rule.FormatPolicy(synth.Adversarial(16))) +
-		`,"b":` + jsonString(fiveB) + `}`
+	adversarial := jsonString(rule.FormatPolicy(synth.Adversarial(16)))
+	overBudget := []struct{ path, body string }{
+		{"/v1/diff", `{"schema":"five","a":` + adversarial + `,"b":` + jsonString(fiveB) + `}`},
+		{"/v1/analyze", `{"schema":"five","policy":` + adversarial + `}`},
+	}
 	wellFormedBody := `{"schema":"five","a":` + jsonString(fiveA) + `,"b":` + jsonString(fiveB) + `}`
 
-	// Well-formed traffic concurrent with the adversarial request.
+	// Well-formed traffic concurrent with the adversarial requests.
 	var wg sync.WaitGroup
 	fails := make(chan string, 8)
 	for i := 0; i < 8; i++ {
@@ -171,24 +174,30 @@ func TestWorstCasePolicyReturns422(t *testing.T) {
 		}()
 	}
 
-	rec := post(srv, "/v1/diff", adversarialBody)
+	recs := make([]*httptest.ResponseRecorder, len(overBudget))
+	for i, ob := range overBudget {
+		recs[i] = post(srv, ob.path, ob.body)
+	}
 	wg.Wait()
 	close(fails)
 	for f := range fails {
 		t.Errorf("well-formed request failed during adversarial load: %s", f)
 	}
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("adversarial diff status = %d, want 422\n%s", rec.Code, rec.Body.String())
-	}
-	var envelope Error
-	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
-		t.Fatalf("bad envelope: %v\n%s", err, rec.Body.String())
-	}
-	if envelope.Err.Code != CodePolicyTooComplex {
-		t.Fatalf("code = %q, want %q", envelope.Err.Code, CodePolicyTooComplex)
-	}
-	if envelope.Err.RequestID == "" {
-		t.Fatal("envelope must carry the request ID")
+	for i, rec := range recs {
+		path := overBudget[i].path
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("adversarial %s status = %d, want 422\n%s", path, rec.Code, rec.Body.String())
+		}
+		var envelope Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+			t.Fatalf("bad %s envelope: %v\n%s", path, err, rec.Body.String())
+		}
+		if envelope.Err.Code != CodePolicyTooComplex {
+			t.Fatalf("%s code = %q, want %q", path, envelope.Err.Code, CodePolicyTooComplex)
+		}
+		if envelope.Err.RequestID == "" {
+			t.Fatalf("%s envelope must carry the request ID", path)
+		}
 	}
 
 	// Nothing from the aborted flight may be retained: the caches hold
@@ -205,9 +214,10 @@ func TestWorstCasePolicyReturns422(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 6; i++ {
-		rec := post(srv, "/v1/diff", adversarialBody)
-		if rec.Code != http.StatusUnprocessableEntity {
-			t.Fatalf("iteration %d: status = %d", i, rec.Code)
+		for _, ob := range overBudget {
+			if rec := post(srv, ob.path, ob.body); rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("iteration %d: %s status = %d", i, ob.path, rec.Code)
+			}
 		}
 	}
 	runtime.GC()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"diversefw/internal/admission"
-	"diversefw/internal/anomaly"
 	"diversefw/internal/compare"
 	"diversefw/internal/engine"
 	"diversefw/internal/fdd"
@@ -27,7 +26,6 @@ import (
 	"diversefw/internal/jobs"
 	"diversefw/internal/metrics"
 	"diversefw/internal/query"
-	"diversefw/internal/redundancy"
 	"diversefw/internal/resolve"
 	"diversefw/internal/rule"
 	"diversefw/internal/slo"
@@ -567,50 +565,20 @@ func (s *Server) impact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// audit is POST /v1/audit: /v1/analyze's findings without severity and
+// source, the semantic redundancy check only on request.
 func (s *Server) audit(w http.ResponseWriter, r *http.Request) {
 	var req AuditRequest
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+	_, findings, ok := s.analysisFindings(w, r, req.Schema, req.Policy, req.Complete)
+	if !ok {
 		return
 	}
-	p, err := parseInput(schema, req.Policy, "policy")
-	if err != nil {
-		writePolicyError(w, err)
-		return
-	}
-
-	resp := AuditResponse{Findings: ConvertAnomalies(p, anomaly.Detect(p))}
-
-	shadowed, err := anomaly.CompletelyShadowed(p)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
-		return
-	}
-	for _, i := range shadowed {
-		resp.Findings = append(resp.Findings, Finding{
-			Kind:   "never-first-match",
-			Rules:  []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is never a first match: %s", i+1, rule.FormatRule(schema, p.Rules[i])),
-		})
-	}
-
-	if req.Complete {
-		_, removed, err := redundancy.RemoveAll(p)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
-			return
-		}
-		for _, i := range removed {
-			resp.Findings = append(resp.Findings, Finding{
-				Kind:   "redundant",
-				Rules:  []int{i + 1},
-				Detail: fmt.Sprintf("rule %d is semantically redundant: %s", i+1, rule.FormatRule(schema, p.Rules[i])),
-			})
-		}
+	var resp AuditResponse
+	for _, f := range findings {
+		resp.Findings = append(resp.Findings, Finding{Kind: f.Kind, Rules: f.Rules, Detail: f.Detail})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -630,6 +598,51 @@ func analyzeSeverity(kind string) string {
 	}
 }
 
+// analysisFindings lowers a policy input, runs the engine's analysis on
+// it and renders the findings: the pairwise anomalies, then the
+// never-first-match rules, then the redundant rules in removal order.
+// On failure it writes the error response and returns ok false.
+func (s *Server) analysisFindings(w http.ResponseWriter, r *http.Request, schemaName string,
+	in PolicyInput, complete bool) (p *rule.Policy, out []AnalyzeFinding, ok bool) {
+	schema, err := schemaByName(schemaName)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
+		return nil, nil, false
+	}
+	if p, err = parseInput(schema, in, "policy"); err != nil {
+		writePolicyError(w, err)
+		return nil, nil, false
+	}
+	a, err := s.eng.Analyze(r.Context(), p, complete)
+	if err != nil {
+		writeAnalysisError(w, err)
+		return nil, nil, false
+	}
+	for _, f := range ConvertAnomalies(p, a.Anomalies) {
+		out = append(out, AnalyzeFinding{
+			Kind:     f.Kind,
+			Severity: analyzeSeverity(f.Kind),
+			Source:   "pairwise",
+			Rules:    f.Rules,
+			Detail:   f.Detail,
+		})
+	}
+	exact := func(kind, what string, rules []int) {
+		for _, i := range rules {
+			out = append(out, AnalyzeFinding{
+				Kind:     kind,
+				Severity: analyzeSeverity(kind),
+				Source:   "exact",
+				Rules:    []int{i + 1},
+				Detail:   fmt.Sprintf("rule %d is %s: %s", i+1, what, rule.FormatRule(schema, p.Rules[i])),
+			})
+		}
+	}
+	exact("never-first-match", "never a first match", a.NeverFirstMatch)
+	exact("redundant", "semantically redundant", a.Redundant)
+	return p, out, true
+}
+
 // analyze is POST /v1/analyze: the single-policy health report. It runs
 // the pairwise anomaly taxonomy and the exact FDD-based checks
 // (never-first-match, semantic redundancy) over the lowered policy —
@@ -639,62 +652,20 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	schema, err := schemaByName(req.Schema)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownSchema, err)
-		return
-	}
-	p, err := parseInput(schema, req.Policy, "policy")
-	if err != nil {
-		writePolicyError(w, err)
+	p, findings, ok := s.analysisFindings(w, r, req.Schema, req.Policy, true)
+	if !ok {
 		return
 	}
 	format := req.Policy.Format
 	if format == "" {
 		format = frontend.DefaultFormat
 	}
-	resp := AnalyzeResponse{Format: format, Policy: rule.FormatPolicy(p)}
-	for _, f := range ConvertAnomalies(p, anomaly.Detect(p)) {
-		resp.Findings = append(resp.Findings, AnalyzeFinding{
-			Kind:     f.Kind,
-			Severity: analyzeSeverity(f.Kind),
-			Source:   "pairwise",
-			Rules:    f.Rules,
-			Detail:   f.Detail,
-		})
-	}
-	shadowed, err := anomaly.CompletelyShadowed(p)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	for _, i := range shadowed {
-		resp.Findings = append(resp.Findings, AnalyzeFinding{
-			Kind:     "never-first-match",
-			Severity: "error",
-			Source:   "exact",
-			Rules:    []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is never a first match: %s",
-				i+1, rule.FormatRule(schema, p.Rules[i])),
-		})
-	}
-	_, removed, err := redundancy.RemoveAll(p)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	for _, i := range removed {
-		resp.Findings = append(resp.Findings, AnalyzeFinding{
-			Kind:     "redundant",
-			Severity: "warning",
-			Source:   "exact",
-			Rules:    []int{i + 1},
-			Detail: fmt.Sprintf("rule %d is semantically redundant: %s",
-				i+1, rule.FormatRule(schema, p.Rules[i])),
-		})
-	}
-	resp.Complexity = complexityOf(p)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, AnalyzeResponse{
+		Format:     format,
+		Findings:   findings,
+		Policy:     rule.FormatPolicy(p),
+		Complexity: complexityOf(p),
+	})
 }
 
 // complexityOf profiles the lowered policy — the "Rules in Play"-style

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"diversefw/internal/metrics"
+	"diversefw/internal/rule"
+	"diversefw/internal/synth"
 	"diversefw/internal/trace"
 )
 
@@ -133,6 +135,57 @@ func TestTraceResolveSpans(t *testing.T) {
 		}
 		if ver.Attrs["equivalent"] != true {
 			t.Fatalf("resolve-verify equivalent attr = %v", ver.Attrs)
+		}
+		return
+	}
+	t.Fatalf("trace %s not retained", traceID)
+}
+
+// TestTraceAnalyzeSpans covers /v1/analyze: one analyze span over a
+// single construction, carrying the finding and candidate counts, and no
+// spans for the redundancy search's candidates.
+func TestTraceAnalyzeSpans(t *testing.T) {
+	t.Parallel()
+	srv := NewServer()
+	rec := doRec(t, srv, "/v1/analyze", AnalyzeRequest{
+		Schema: "five", Policy: in(rule.FormatPolicy(synth.RealLife(40, 31))),
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("analyze: status %d\n%s", rec.Code, rec.Body.String())
+	}
+	traceID := rec.Header().Get("X-Trace-ID")
+
+	var snap trace.Snapshot
+	if err := json.Unmarshal(getTraces(t, srv, "").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range snap.Recent {
+		if r.TraceID != traceID {
+			continue
+		}
+		an, ok := r.Root.Find("analyze")
+		if !ok {
+			t.Fatal("analyze span missing")
+		}
+		constructs := 0
+		r.Root.Walk(func(s trace.SpanRecord) {
+			switch s.Name {
+			case "construct":
+				constructs++
+			case "shape", "compare":
+				t.Errorf("analyze trace has a %s span", s.Name)
+			}
+		})
+		if _, ok := an.Find("construct"); !ok || constructs != 1 {
+			t.Fatalf("analyze trace has %d construct spans, want one under analyze", constructs)
+		}
+		for _, attr := range []string{"anomalies", "neverFirstMatch", "redundant", "candidates"} {
+			if _, ok := an.Attrs[attr]; !ok {
+				t.Fatalf("analyze span missing %q attr: %v", attr, an.Attrs)
+			}
+		}
+		if c, _ := an.Attrs["candidates"].(float64); c == 0 {
+			t.Fatalf("analyze span candidates = %v, want the search to have run", an.Attrs["candidates"])
 		}
 		return
 	}

@@ -134,16 +134,11 @@ func DiffContext(ctx context.Context, pa, pb *rule.Policy) (*Report, error) {
 	return report, nil
 }
 
-// DiffFDDs runs shaping and comparison on two already-constructed FDDs.
-// Useful when one version was designed directly as an FDD (Section 7.2).
-func DiffFDDs(fa, fb *fdd.FDD) (*Report, error) {
-	return DiffFDDsContext(context.Background(), fa, fb)
-}
-
-// DiffFDDsContext is DiffFDDs with cancellation (see DiffContext). It is
-// the pipeline entry for callers that cache constructed FDDs: shaping
-// deep-copies its inputs, so fa and fb come back untouched and can be
-// reused across calls.
+// DiffFDDsContext runs shaping and comparison on two already-constructed
+// FDDs, with cancellation (see DiffContext). Useful when one version was
+// designed directly as an FDD (Section 7.2), and for callers that hold
+// constructed FDDs: shaping deep-copies its inputs, so fa and fb come
+// back untouched and can be reused across calls.
 func DiffFDDsContext(ctx context.Context, fa, fb *fdd.FDD) (*Report, error) {
 	if !fa.Schema.Equal(fb.Schema) {
 		return nil, fmt.Errorf("compare: schemas differ")

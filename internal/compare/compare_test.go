@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestDiffFDDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := DiffFDDs(fa, fb)
+	report, err := DiffFDDsContext(context.Background(), fa, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDiffFDDs(t *testing.T) {
 		t.Fatalf("got %d discrepancies, want 3", len(report.Discrepancies))
 	}
 	// Comparing a design given directly as a (reduced) FDD — Section 7.2.
-	report2, err := DiffFDDs(fa.Reduce(), fb)
+	report2, err := DiffFDDsContext(context.Background(), fa.Reduce(), fb)
 	if err != nil {
 		t.Fatal(err)
 	}

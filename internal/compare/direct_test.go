@@ -48,7 +48,7 @@ func TestDirectDiffMatchesLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pair %d: construct b: %v", i, err)
 		}
-		lock, err := DiffFDDs(fa, fb)
+		lock, err := DiffFDDsContext(context.Background(), fa, fb)
 		if err != nil {
 			t.Fatalf("pair %d: lockstep: %v", i, err)
 		}

@@ -25,6 +25,10 @@
 // flights are never cached, so an aborted request can neither poison nor
 // pin a cache entry mid-compile.
 //
+// Analyze, the single-policy analysis behind /v1/analyze, /v1/audit,
+// fwaudit and fwcompile -compact, uses neither cache: it constructs the
+// policy once under the engine's work budget and the caller's deadline.
+//
 // Both caches are size-aware LRUs; hits, misses, evictions, and resident
 // bytes are exported through internal/metrics when a registry is given.
 package engine
@@ -39,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"diversefw/internal/anomaly"
 	"diversefw/internal/chaos"
 	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
@@ -46,6 +51,7 @@ import (
 	"diversefw/internal/guard"
 	"diversefw/internal/impact"
 	"diversefw/internal/metrics"
+	"diversefw/internal/redundancy"
 	"diversefw/internal/rule"
 	"diversefw/internal/trace"
 )
@@ -573,6 +579,49 @@ func (e *Engine) CrossComparePolicies(ctx context.Context, policies []*rule.Poli
 		r, _, err := e.Diff(ctx, ca, cb)
 		return r, err
 	})
+}
+
+// Analysis is the single-policy report the paper's teams run before the
+// comparison phase. Rule indices are 0-based positions in the analyzed
+// policy.
+type Analysis struct {
+	// Anomalies is the pairwise taxonomy of anomaly.Detect.
+	Anomalies []anomaly.Anomaly
+	// NeverFirstMatch lists the rules no packet reaches as its first
+	// match, in rule order.
+	NeverFirstMatch []int
+	// Redundant lists the rules complete redundancy removal deletes, in
+	// removal order, and Compacted is the policy without them. Both are
+	// set only by a complete analysis.
+	Redundant []int
+	Compacted *rule.Policy
+}
+
+// Analyze runs every single-policy analysis on p from one construction.
+// The construction is charged to the engine's work budget and bypasses
+// the compile cache: a one-off policy kept resident with its builder
+// would cost more memory than its rare reuse saves. With complete set,
+// the redundancy search follows; it honours ctx's deadline but is not
+// charged to the budget, which sizes one construction, not a search
+// that constructs once per candidate.
+func (e *Engine) Analyze(ctx context.Context, p *rule.Policy, complete bool) (*Analysis, error) {
+	ctx, sp := trace.Start(ctx, "analyze")
+	defer sp.End()
+	f, eff, err := fdd.ConstructEffectiveContext(e.budgeted(ctx), p)
+	e.observeBudget(sp, err)
+	if err != nil {
+		return nil, err
+	}
+	a := &Analysis{Anomalies: anomaly.Detect(p), NeverFirstMatch: anomaly.NeverFirstMatch(eff)}
+	if complete {
+		if a.Compacted, a.Redundant, err = redundancy.RemoveAllContext(ctx, p, f, eff); err != nil {
+			return nil, err
+		}
+	}
+	sp.SetAttr("anomalies", len(a.Anomalies))
+	sp.SetAttr("neverFirstMatch", len(a.NeverFirstMatch))
+	sp.SetAttr("redundant", len(a.Redundant))
+	return a, nil
 }
 
 // CacheStats is a point-in-time snapshot of one cache.

@@ -16,11 +16,14 @@
 package redundancy
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"diversefw/internal/compare"
 	"diversefw/internal/fdd"
 	"diversefw/internal/rule"
+	"diversefw/internal/trace"
 )
 
 // Effective reports, for each rule, whether some packet's first match is
@@ -62,6 +65,21 @@ func IsRedundant(p *rule.Policy, i int) (bool, error) {
 // the redundancy of another, e.g. two identical rules are each redundant
 // but only one may go).
 func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
+	f, eff, err := fdd.ConstructEffective(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RemoveAllContext(context.Background(), p, f, eff)
+}
+
+// RemoveAllContext is RemoveAll for a policy the caller has already
+// constructed: f and effective are fdd.ConstructEffectiveContext's results
+// for p. Every candidate's construction and comparison polls ctx, so a
+// canceled or expired context ends the search with ctx's error rather
+// than a shorter removal list. Candidates record no spans, which would
+// outnumber the rest of a trace; their count becomes the "candidates"
+// attribute of ctx's active span.
+func RemoveAllContext(ctx context.Context, p *rule.Policy, f *fdd.FDD, effective []bool) (*rule.Policy, []int, error) {
 	// Track original indices through removals.
 	origIdx := make([]int, p.Size())
 	for i := range origIdx {
@@ -82,12 +100,8 @@ func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
 	}
 
 	// Pass 1: upward redundancy, cheap and batched.
-	eff, err := Effective(cur)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := len(eff) - 1; i >= 0; i-- {
-		if !eff[i] {
+	for i := len(effective) - 1; i >= 0; i-- {
+		if !effective[i] {
 			if err := drop(i); err != nil {
 				return nil, nil, err
 			}
@@ -96,29 +110,35 @@ func RemoveAll(p *rule.Policy) (*rule.Policy, []int, error) {
 
 	// Pass 2: complete semantic check to a fixpoint. Two optimizations
 	// keep this O(n) FDD builds per pass instead of O(n) *pairs*: the
-	// current policy's FDD is constructed once per removal, and rules
-	// that cannot possibly be downward redundant are skipped (a rule's
-	// first-match region can only be re-decided identically if some later
-	// rule with the same decision overlaps it).
-	curFDD, err := fdd.Construct(cur)
-	if err != nil {
-		return nil, nil, err
-	}
+	// current policy's FDD is never rebuilt (pass 1 left the semantics,
+	// so f still decides cur, and an accepted candidate's FDD decides the
+	// policy it leaves), and rules that cannot possibly be downward
+	// redundant are skipped (a rule's first-match region can only be
+	// re-decided identically if some later rule with the same decision
+	// overlaps it).
+	curFDD := f
+	candidates := 0
+	defer func() { trace.Active(ctx).SetAttr("candidates", candidates) }()
+	cctx := trace.Untraced(ctx)
 	for again := true; again; {
 		again = false
 		for i := 0; i < cur.Size(); i++ {
 			if !maybeDownwardRedundant(cur, i) {
 				continue
 			}
+			candidates++
 			without, err := cur.DeleteRule(i)
 			if err != nil {
 				return nil, nil, err
 			}
-			withoutFDD, cerr := fdd.Construct(without)
-			if cerr != nil {
+			withoutFDD, err := fdd.ConstructContext(cctx, without)
+			if errors.Is(err, fdd.ErrIncomplete) {
 				continue // sole cover of some packet: not redundant
 			}
-			report, err := compare.DiffFDDs(curFDD, withoutFDD)
+			if err != nil {
+				return nil, nil, err
+			}
+			report, err := compare.DiffFDDsContext(cctx, curFDD, withoutFDD)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,9 +1,12 @@
 package redundancy
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"diversefw/internal/compare"
+	"diversefw/internal/fdd"
 	"diversefw/internal/field"
 	"diversefw/internal/interval"
 	"diversefw/internal/paper"
@@ -136,6 +139,33 @@ func TestRemoveAllIdenticalRules(t *testing.T) {
 	}
 	if !eq {
 		t.Fatal("RemoveAll changed semantics")
+	}
+}
+
+// TestRemoveAllContextCanceled: a candidate whose construction fails
+// because ctx died is not a "sole cover" rule to skip; the search ends
+// with ctx's error instead of a shorter removal list.
+func TestRemoveAllContextCanceled(t *testing.T) {
+	t.Parallel()
+	s := schema1()
+	// Rule 1 is downward redundant, so removal must construct a candidate.
+	p := mk(t, s, []rule.Rule{
+		{Pred: rule.Predicate{interval.SetOf(0, 20)}, Decision: rule.Discard},
+		{Pred: rule.Predicate{interval.SetOf(0, 50)}, Decision: rule.Discard},
+		rule.CatchAll(s, rule.Accept),
+	})
+	f, eff, err := fdd.ConstructEffective(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, removed, err := RemoveAllContext(ctx, p, f, eff)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (removed %v), want context.Canceled", err, removed)
+	}
+	if out != nil {
+		t.Fatalf("canceled removal returned a policy:\n%s", rule.FormatPolicy(out))
 	}
 }
 

@@ -256,13 +256,15 @@ func (p *Plan) Method2(useA bool) (*rule.Policy, error) {
 }
 
 // Method2Context is Method2 with cancellation and tracing (a
-// "resolve-generate" span with method "a" or "b" and the correction
-// count; the redundancy removal dominates its duration).
+// "resolve-generate" span with method "a" or "b", the correction count
+// and the redundancy search's candidate count, over the composed
+// policy's construct span; the redundancy removal dominates its
+// duration).
 func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, error) {
 	if !p.Resolved() {
 		return nil, fmt.Errorf("resolve: method 2: unresolved discrepancies remain")
 	}
-	_, sp := trace.Start(ctx, "resolve-generate")
+	ctx, sp := trace.Start(ctx, "resolve-generate")
 	defer sp.End()
 	if useA {
 		sp.SetAttr("method", "a")
@@ -286,7 +288,11 @@ func (p *Plan) Method2Context(ctx context.Context, useA bool) (*rule.Policy, err
 	if err != nil {
 		return nil, err
 	}
-	compacted, _, err := redundancy.RemoveAll(composed)
+	f, eff, err := fdd.ConstructEffectiveContext(ctx, composed)
+	if err != nil {
+		return nil, err
+	}
+	compacted, _, err := redundancy.RemoveAllContext(ctx, composed, f, eff)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package resolve
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"diversefw/internal/compare"
@@ -109,6 +111,25 @@ func TestMethod2FromB(t *testing.T) {
 	}
 	if final.Size() > 5 {
 		t.Fatalf("method 2 (B) produced %d rules:\n%s", final.Size(), rule.FormatPolicy(final))
+	}
+}
+
+// TestMethod2HonoursCancellation: a canceled context stops the
+// redundancy removal with context.Canceled instead of returning a
+// compacted policy.
+func TestMethod2HonoursCancellation(t *testing.T) {
+	t.Parallel()
+	plan := paperPlan(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, useA := range []bool{true, false} {
+		final, err := plan.Method2Context(ctx, useA)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("useA=%v: err = %v, want context.Canceled", useA, err)
+		}
+		if final != nil {
+			t.Fatalf("useA=%v: canceled method 2 returned a policy:\n%s", useA, rule.FormatPolicy(final))
+		}
 	}
 }
 

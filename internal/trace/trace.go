@@ -100,6 +100,12 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, child), child
 }
 
+// Untraced returns ctx without an active span: work under it records no
+// spans, while ctx's deadline, cancellation and other values still hold.
+func Untraced(ctx context.Context) context.Context {
+	return context.WithValue(ctx, ctxKey{}, (*Span)(nil))
+}
+
 // Event records a zero-duration marker child (e.g. a cache lookup) on
 // the context's active span. No-op when untraced.
 func Event(ctx context.Context, name string, attrs ...Attr) {

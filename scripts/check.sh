@@ -19,6 +19,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The serving benchmark is a nested module that imports the internal
+# packages; `./...` above stops at its go.mod, so an API change that
+# breaks it would otherwise pass every gate.
+go -C perfbench vet ./...
+
 # The observability primitives are the layer every request path shares,
 # so their concurrency tests rerun uncached: a flaky span buffer or
 # histogram race must not hide behind a stale test-cache entry.
